@@ -162,18 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bitwise-identical to an unsharded run",
     )
     parser.add_argument(
-        "--shard-transport",
-        choices=("ring", "shmem", "pickle"),
-        default=None,
-        help="how pooled shard batches move between driver and "
-        "workers (experiments that accept a `shard_transport` keyword "
-        "only): 'ring' streams dispatches through persistent "
-        "shared-memory command rings (default), 'shmem' submits one "
-        "executor task per shard-tick over shared-memory arenas, "
-        "'pickle' ships arrays through the executor pipe; results are "
-        "bitwise-identical either way",
-    )
-    parser.add_argument(
         "--checkpoint-every",
         type=_positive_int,
         default=None,
@@ -317,7 +305,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         overrides["shards"] = args.shards
     for flag, name in (
-        ("--shard-transport", "shard_transport"),
         ("--checkpoint-every", "checkpoint_every"),
         ("--checkpoint-dir", "checkpoint_dir"),
         ("--restore-from", "restore_from"),

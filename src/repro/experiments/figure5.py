@@ -120,7 +120,6 @@ def _hitlist_trial(
     seed: "np.random.SeedSequence | int",
     shards: Optional[int] = None,
     shard_workers: int = 1,
-    shard_transport: str = "ring",
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     restore_from: Optional[str] = None,
@@ -134,8 +133,7 @@ def _hitlist_trial(
     exchange contract), so internet-scale populations can split their
     per-tick work, and ``shard_workers`` fans those shards out over a
     process pool (supervised — respawn from the latest checkpoint —
-    when checkpointing is on; ``shard_transport`` picks the pool's
-    wire, see :func:`repro.sim.spec.simulate`).
+    when checkpointing is on).
     ``checkpoint_every``/``checkpoint_dir``
     snapshot
     mid-run state (per hit-list size, in a ``hitlist-<N>`` subdir),
@@ -179,7 +177,6 @@ def _hitlist_trial(
         spec,
         rng,
         shard_workers=shard_workers,
-        shard_transport=shard_transport,
         checkpoint_dir=(
             os.path.join(checkpoint_dir, subdir)
             if checkpoint_dir is not None
@@ -216,7 +213,6 @@ def run_infection(
     workers: int = 1,
     shards: Optional[int] = None,
     shard_workers: int = 1,
-    shard_transport: str = "ring",
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     restore_from: Optional[str] = None,
@@ -251,7 +247,6 @@ def run_infection(
                 max_time=max_time,
                 shards=shards,
                 shard_workers=shard_workers,
-                shard_transport=shard_transport,
                 checkpoint_every=checkpoint_every,
                 checkpoint_dir=checkpoint_dir,
                 restore_from=restore_from,
@@ -299,7 +294,6 @@ def run_detection(
     workers: int = 1,
     shards: Optional[int] = None,
     shard_workers: int = 1,
-    shard_transport: str = "ring",
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     restore_from: Optional[str] = None,
@@ -315,7 +309,6 @@ def run_detection(
         workers=workers,
         shards=shards,
         shard_workers=shard_workers,
-        shard_transport=shard_transport,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         restore_from=restore_from,

@@ -100,7 +100,7 @@ def spec_fingerprint(spec: "SimulationSpec") -> dict[str, Any]:
     """The identity-bearing structure of a spec, as canonical JSON data.
 
     Everything that changes *results* belongs here; knobs that only
-    change execution (cadence, workers, transport) do not.  The worm
+    change execution (cadence, workers) do not.  The worm
     is fingerprinted by pickle digest (worm objects are immutable
     value objects; all per-run state lives in ``WormState``); the
     environment is fingerprinted structurally because its policy

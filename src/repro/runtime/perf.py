@@ -21,9 +21,9 @@ STAGES = ("generate", "filter", "dispatch", "infect")
 
 #: Sharded-driver stages, in tick order.  Pool mode's streamed
 #: pipeline laps ``stage`` (per-shard bucket gather), ``dispatch``
-#: (staging + ring write), ``wait`` (reply latency) and ``collect``
-#: (reply reads) where the in-process paths lap ``route``/``exchange``
-#: and ``shards``.
+#: (shared-memory staging + submit), ``wait`` (reply latency) and
+#: ``collect`` (reply reads) where the in-process paths lap
+#: ``route``/``exchange`` and ``shards``.
 SHARD_STAGES = (
     "generate",
     "filter",
@@ -34,7 +34,6 @@ SHARD_STAGES = (
     "wait",
     "collect",
     "shards",
-    "transport",
     "merge",
 )
 

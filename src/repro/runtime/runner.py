@@ -53,6 +53,10 @@ from repro.runtime.seeding import spawn_trial_sequences
 #: observe which futures have started running.
 _TICK_SECONDS = 0.05
 
+#: How long :func:`terminate_executor` may wait for a torn-down
+#: executor's workers and manager thread.
+_TEARDOWN_SECONDS = 10.0
+
 #: Exception types that mean "this work could not cross the process
 #: boundary" (unpicklable payload or result) rather than "the trial
 #: failed"; such trials re-execute serially in the parent.
@@ -199,6 +203,66 @@ def _execute_task(items: tuple[_TaskItem, ...]) -> tuple[_Envelope, ...]:
 def _execute_trial(trial: Trial) -> Any:
     """Module-level single-trial trampoline (kept for compatibility)."""
     return trial.execute()
+
+
+def _still_running(process: Any) -> bool:
+    try:
+        return bool(process.is_alive())
+    except (OSError, ValueError, AssertionError):  # noqa: RP007 — closed or reaped elsewhere
+        return False
+
+
+def terminate_executor(pool: ProcessPoolExecutor) -> bool:
+    """Tear an executor down even when a worker is hung or dead.
+
+    Terminate every worker, shut down without waiting, then wait for
+    the executor's manager thread, which reaps the workers itself.  A
+    worker still running after a second is killed; one that is dead
+    but not yet reaped is polled again.  Everything shares one 10 s
+    deadline, so a wedged teardown cannot hang the caller.
+
+    The manager is joined before any worker is judged.  It reaps the
+    workers, and while it does, ``is_alive()`` on a dead worker can
+    still read True (its own ``waitpid`` lost the race), so a single
+    early check misreports a dead worker as live.
+
+    Returns ``True`` when every worker is reaped and the manager thread
+    has exited.  Forking a replacement while the old pool's threads
+    still run (holding allocator or queue locks) can deadlock the
+    children, so a caller seeing ``False`` must not fork again.
+    """
+    # ``_processes`` and ``_executor_manager_thread`` are CPython
+    # implementation details, but they are the only handles on a worker
+    # stuck in an uninterruptible task.  ``shutdown`` clears both, so
+    # they are read first.
+    workers = getattr(pool, "_processes", None)
+    processes = list(workers.values()) if isinstance(workers, dict) else []
+    manager = getattr(pool, "_executor_manager_thread", None)
+    for process in processes:
+        try:
+            process.terminate()
+        except (OSError, ValueError):  # noqa: RP007 — already-dead worker
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
+    deadline = time.monotonic() + _TEARDOWN_SECONDS
+    if manager is not None:
+        manager.join(timeout=1.0)
+    for process in processes:
+        if _still_running(process):  # SIGTERM masked or worker wedged
+            try:
+                process.kill()
+            except (OSError, ValueError):  # noqa: RP007 — exited meanwhile
+                pass
+    if manager is not None:
+        manager.join(timeout=max(0.0, deadline - time.monotonic()))
+    while (
+        any(_still_running(process) for process in processes)
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.01)
+    if manager is not None and manager.is_alive():
+        return False
+    return not any(_still_running(process) for process in processes)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -652,7 +716,7 @@ class TrialRunner:
                     )
                 futures.clear()
                 started.clear()
-                torn_down = self._terminate_pool(pool)
+                torn_down = terminate_executor(pool)
                 pool = None
                 events.append(
                     "worker pool broke; completed trials kept, pool "
@@ -699,7 +763,7 @@ class TrialRunner:
                         queue.extend(chunk_states)
                     futures.clear()
                     started.clear()
-                    torn_down = self._terminate_pool(pool)
+                    torn_down = terminate_executor(pool)
                     pool = None
                     events.append(
                         f"per-trial timeout ({self.timeout:g}s) expired; "
@@ -737,43 +801,3 @@ class TrialRunner:
         for state in chunk_states:
             if self._settle_attempt(state, ok=False, error=error):
                 queue.append(state)
-
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> bool:
-        """Tear a pool down even when a worker is hung or dead.
-
-        Returns ``True`` when the teardown completed: every worker is
-        reaped and the executor's manager thread has exited.  The
-        replacement pool ``fork``s new workers, and forking while the
-        dead pool's manager/feeder threads still run (holding
-        allocator or queue locks) deadlocks the children — callers
-        seeing ``False`` must not fork again and should run the
-        remaining trials in-process instead.
-        """
-        # ``_processes`` is CPython implementation detail, but it is the
-        # only handle on a worker stuck in an uninterruptible trial.
-        workers = getattr(pool, "_processes", None)
-        processes = list(workers.values()) if isinstance(workers, dict) else []
-        for process in processes:
-            try:
-                process.terminate()
-            except (OSError, ValueError):  # noqa: RP007 — already-dead worker
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-        deadline = time.monotonic() + 10.0
-        for process in processes:
-            try:
-                process.join(timeout=min(1.0, max(0.0, deadline - time.monotonic())))
-                if process.is_alive():  # SIGTERM masked or worker wedged
-                    process.kill()
-                    process.join(timeout=max(0.1, deadline - time.monotonic()))
-            except (OSError, ValueError, AssertionError):  # noqa: RP007 — reaped elsewhere
-                pass
-        # The manager thread joins the (now dead) workers and exits;
-        # bounded, because a hung teardown must not hang the campaign.
-        manager = getattr(pool, "_executor_manager_thread", None)
-        if manager is not None and manager.is_alive():
-            manager.join(timeout=max(0.1, deadline - time.monotonic()))
-            if manager.is_alive():
-                return False
-        return not any(process.is_alive() for process in processes)

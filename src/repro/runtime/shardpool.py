@@ -11,51 +11,36 @@ exactly one worker, and a shard always submits to the same pool
 a single-worker pool executes its queue FIFO, so per-shard ordering
 is preserved).
 
-**Transports.**  The per-tick batches move one of three ways:
-
-* ``"ring"`` (default): the pipelined transport.  Arrays stage in
-  per-shard *double-buffered* shared-memory arenas
-  (:class:`~repro.runtime.shmem.ShmDoubleBuffer`, buffer chosen by
-  epoch parity), and the per-tick control message rides a persistent
-  per-worker SPSC command ring (:mod:`repro.runtime.ring`) serviced
-  by a resident worker pump — one ~100 B ring write plus one
-  ``Event`` doorbell per shard-tick, no executor round trip.  The
-  executor's ``submit`` path remains the fallback transport for
-  engine build/seed, snapshots, sensor collection, and
-  supervision-respawn replays (the pump is paused around them).
-* ``"shmem"``: arrays stage in single-buffered arenas and a control
-  tuple crosses the executor's pickle pipe via one ``submit`` per
-  shard per tick.
-* ``"pickle"``: arrays ride the executor pipe directly (the original
-  transport, and the automatic fallback where POSIX shared memory is
-  unavailable).
-
-All transports are bitwise-identical by construction: the worker sees
-the same arrays either way.  :meth:`ShardPool.stats` reports how many
-bytes and round trips each path used, so benchmarks can show the
-per-tick control traffic amortized.
+**Transport.**  Each shard owns a request and a reply shared-memory
+arena (:class:`~repro.runtime.shmem.ShmArena`).  The driver writes
+the shard's routed arrays into its request arena, and one executor
+``submit`` per shard-tick carries only a ~100 B control tuple
+(:data:`ShmControl`).  The worker reads the frames zero-copy, runs
+the resident engine and writes its fresh infections into the
+driver-pre-sized reply arena, so no array crosses the pickle pipe.
+:meth:`ShardPool.stats` reports the bytes and round trips.
 
 **Pipelined dispatch.**  The pool's tick API is streamed:
 :meth:`ShardPool.begin_tick`, then one :meth:`ShardPool.dispatch_shard`
 per shard *as soon as its routed slice is ready*, then
-:meth:`ShardPool.collect` (the classic :meth:`ShardPool.tick` wraps
-the three).  A dispatched worker computes while the driver routes and
-stages the remaining shards, and ``stats()['dispatch_overlap_s']``
-accumulates that overlap window.  Dispatch order may interleave with
-worker completion order, but :meth:`collect` settles replies in shard
-order, so the driver's merge stays deterministic.  Driver code must
-not consume RNG inside the overlap window (between the first
-``dispatch_shard`` and ``collect`` of a tick) — the ``hotspots lint``
-RP105 flow rule enforces this.
+:meth:`ShardPool.collect`.  A dispatched worker computes while the
+driver routes and stages the remaining shards, and
+``stats()['dispatch_overlap_s']`` accumulates that overlap window.
+Dispatch order may interleave with worker completion order, but
+:meth:`collect` settles replies in shard order, so the driver's merge
+stays deterministic.  Driver code must not consume RNG inside the
+overlap window (between the first ``dispatch_shard`` and ``collect``
+of a tick) — the ``hotspots lint`` RP105 flow rule enforces this.
 
 Failure philosophy: the pool is an optimization, never a semantic.
-Without supervision, any pool-layer error — a dead worker, a truncated
-or stale shared-memory message
-(:class:`~repro.runtime.shmem.ShmProtocolError`), a garbled ring slot
-(:class:`~repro.runtime.ring.RingError`), a segment that vanished
-mid-tick — surfaces to the driver, which discards the pools and
-re-runs the outbreak in-process from the original seed material —
-bitwise the same result, just slower.
+Without supervision, any pool-layer error — a dead or hung worker, a
+truncated or stale shared-memory message
+(:class:`~repro.runtime.shmem.ShmProtocolError`), a segment that
+vanished mid-tick — surfaces to the driver, which discards the pools
+and re-runs the outbreak in-process from the original seed material —
+bitwise the same result, just slower.  :meth:`ShardPool.close`
+terminates a worker that missed the heartbeat instead of waiting it
+out.
 
 **Supervision.**  With ``supervise=True`` (the driver enables it when
 the run is being checkpointed) the pool recovers *per slot* instead:
@@ -65,73 +50,55 @@ checkpoint cadence), and a replay buffer of every tick payload issued
 since.  When a tick outcome fails — the worker died
 (``BrokenProcessPool``), garbled its reply, or missed the bounded
 ``heartbeat`` — the pool terminates only the failed slot's executor,
-respawns it (with fresh doorbells and, lazily, a fresh drained ring),
-rebuilds each of its shards (seed → snapshot restore → payload
-replay), and re-issues the current tick.  Replays ride the executor
-fallback transport under *fresh* epochs and are RNG-free by
-construction: payloads carry only pre-drawn arrays (the exchange
-determinism contract), so replaying them consumes no driver
-randomness and the recovered run is bitwise-identical.  The respawn
-budget (``MAX_RESPAWNS``) bounds pathological loops; exhausting it
-surfaces the failure, and the driver falls back to the serial re-run.
+respawns it, rebuilds each of its shards (seed → snapshot restore →
+payload replay), and re-issues the current tick.  Replays run under
+*fresh* epochs and are RNG-free by construction: payloads carry only
+pre-drawn arrays (the exchange determinism contract), so replaying
+them consumes no driver randomness and the recovered run is
+bitwise-identical.  The respawn budget (``MAX_RESPAWNS``) bounds
+pathological loops; exhausting it surfaces the failure, and the
+driver falls back to the serial re-run.
 
 For fault-path tests, ``REPRO_SHARD_FAULT`` may hold a JSON object
 ``{"kind": ..., "shard": int, "epoch": int}`` with kind ``"kill"``
 (worker hard-exits mid-tick), ``"garble-header"`` (the request
-header's magic is clobbered after writing), ``"stale-epoch"`` (the
+header's magic is clobbered after writing) or ``"stale-epoch"`` (the
 control message carries the previous epoch, simulating a reader racing
-a segment resize), ``"garble-ring"`` (the just-pushed command slot's
-kind is clobbered, killing the worker pump), or ``"stale-doorbell"``
-(the command is published but the doorbell is never rung — the pump's
-bounded poll self-heals, results unchanged).  The hook follows the
-:mod:`repro.runtime.faults` environment-variable idiom so it works
-under any process start method.  The mid-run faults of
-:mod:`repro.runtime.faults` (``REPRO_MIDRUN_FAULT``) additionally let
-a worker kill or hang itself when it receives the epoch belonging to
-a given tick — in an undisturbed run tick ``N`` (0-based) is carried
-by epoch ``N + 1`` in every transport, and recovery replays use fresh
-epochs, so such a fault fires exactly once per run.
+a segment resize); any other value is a :class:`FaultPlanError`.  The
+hook follows the :mod:`repro.runtime.faults` environment-variable
+idiom so it works under any process start method.  The mid-run faults
+of :mod:`repro.runtime.faults` (``REPRO_MIDRUN_FAULT``) additionally
+let a worker kill or hang itself when it receives the epoch belonging
+to a given tick — in an undisturbed run tick ``N`` (0-based) is
+carried by epoch ``N + 1``, and recovery replays use fresh epochs, so
+such a fault fires exactly once per run.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, TypeVar, Union
 
 import numpy as np
 
 from repro.runtime.checkpoint import record_recovery
-from repro.runtime.faults import midrun_fault_from_env
-from repro.runtime.ring import (
-    KIND_DONE,
-    KIND_ERROR,
-    KIND_STOP,
-    KIND_TICK,
-    SLOT_BYTES,
-    RingMessage,
-    SpscRing,
-)
+from repro.runtime.faults import FaultPlanError, midrun_fault_from_env
+from repro.runtime.runner import terminate_executor
 from repro.runtime.shmem import (
     ShmArena,
-    ShmDoubleBuffer,
-    ShmProtocolError,
     attach,
     capacity_for,
     read_frames,
-    shared_memory_available,
     write_frames,
 )
 
 if TYPE_CHECKING:
     from multiprocessing.shared_memory import SharedMemory
-    from multiprocessing.synchronize import Event as MpEvent
 
     from repro.runtime.perf import StageTimer
     from repro.sim.shard import ShardEngine
@@ -156,64 +123,54 @@ TickPayload = tuple[
 #: shard interval) and the delivered-probe count.
 TickReply = tuple[np.ndarray, int]
 
-#: The shm transports' control message: ``(shard_id, now, epoch,
-#: request_name, reply_name)`` — pickled per tick in ``"shmem"`` mode,
-#: encoded into one ring slot in ``"ring"`` mode.
+#: The per-tick control message pickled through the executor pipe:
+#: ``(shard_id, now, epoch, request_name, reply_name)``.
 ShmControl = tuple[int, float, int, str, str]
 
 #: End-of-run sensor state: the worker's sensor and grid clones.
 SensorState = tuple[list[object], list[object]]
 
-#: Environment variable carrying an injected shard-transport fault.
+#: Environment variable carrying an injected transport fault.
 FAULT_ENV = "REPRO_SHARD_FAULT"
+
+#: The fault kinds ``REPRO_SHARD_FAULT`` may name.
+SHARD_FAULT_KINDS = ("kill", "garble-header", "stale-epoch")
 
 #: How many slot respawns one supervised pool will attempt before the
 #: failure surfaces to the driver (which then degrades to serial).
 MAX_RESPAWNS = 3
 
-#: Command/reply ring capacity (slots).  Outstanding commands per
-#: worker are bounded by its resident shard count; a full ring is
-#: back-pressure (a bounded driver-side wait), not an error.
-_RING_SLOTS = 8
-
-#: The worker pump's doorbell poll cadence: an unsignaled doorbell
-#: (a missed or deliberately withheld wake) costs at most this long.
-_PUMP_POLL_S = 0.05
-
-#: Worker-side segment-attachment cache ceiling; double-buffer name
-#: alternation and growth renames would otherwise grow it unboundedly.
+#: Worker-side segment-attachment cache ceiling; arena growth renames
+#: segments, which would otherwise grow the cache without bound.
 _SEGMENT_CACHE_MAX = 64
 
 #: Engines resident in *this worker process*, keyed by shard id.
 _ENGINES: dict[int, "ShardEngine"] = {}
 
-#: Worker-side attachment cache, keyed by segment *name* — the ring
-#: transport alternates names tick-to-tick (double buffering), so a
-#: role-keyed cache would thrash close/attach every tick.
+#: Worker-side attachment cache, keyed by segment name.
 _SEGMENTS: dict[str, "SharedMemory"] = {}
-
-#: This worker's ``(doorbell, reply_bell)`` pair, delivered through
-#: the executor initializer (multiprocessing primitives cannot be
-#: pickled through ``submit`` arguments, but ride process creation).
-_BELLS: Optional[tuple["MpEvent", "MpEvent"]] = None
-
-
-def _init_bells(doorbell: "MpEvent", reply_bell: "MpEvent") -> None:
-    """Executor initializer: stash this worker's doorbell pair."""
-    global _BELLS
-    _BELLS = (doorbell, reply_bell)
 
 
 def _shard_fault() -> Optional[dict[str, object]]:
-    """The injected transport fault, if any (test hook)."""
+    """The injected transport fault, if any (test hook).
+
+    A value naming a fault the pool cannot inject raises
+    :class:`FaultPlanError` rather than letting the run pass without it.
+    """
     raw = os.environ.get(FAULT_ENV)
     if not raw:
         return None
     try:
         fault = json.loads(raw)
-    except ValueError:  # pragma: no cover - malformed test config
-        return None
-    return fault if isinstance(fault, dict) else None
+    except ValueError:
+        fault = None
+    kind = fault.get("kind") if isinstance(fault, dict) else None
+    if kind not in SHARD_FAULT_KINDS:
+        raise FaultPlanError(
+            f"{FAULT_ENV} must be a JSON object whose kind is one of "
+            f"{SHARD_FAULT_KINDS}; got {raw!r}"
+        )
+    return fault
 
 
 def _fault_matches(
@@ -233,10 +190,10 @@ def _fault_matches(
 def _apply_midrun_fault(shard_id: int, epoch: int) -> None:
     """Worker-side chaos hook: die or hang at a specific tick's epoch.
 
-    An undisturbed run carries tick ``N`` (0-based) on epoch ``N + 1``
-    in every transport; recovery replays re-issue work under *fresh*
-    epochs, so a fault keyed to a tick fires exactly once per run and
-    never re-fires during its own recovery.
+    An undisturbed run carries tick ``N`` (0-based) on epoch ``N + 1``;
+    recovery replays re-issue work under *fresh* epochs, so a fault
+    keyed to a tick fires exactly once per run and never re-fires
+    during its own recovery.
     """
     fault = midrun_fault_from_env()
     if fault is None or fault.tick is None:
@@ -273,26 +230,14 @@ def _restore_shard(shard_id: int, snapshot: dict[str, Any]) -> int:
     return shard_id
 
 
-def _run_tick(
-    shard_id: int, payload: TickPayload, epoch: int = 0
-) -> TickReply:
-    """Worker-side: apply one pickled batch to a resident engine."""
-    _apply_midrun_fault(shard_id, epoch)
-    now, sources, targets, source_indices, loss_ok, immunize = payload
-    engine = _ENGINES[shard_id]
-    if immunize is not None:
-        engine.immunize(immunize)
-    return engine.process(now, sources, targets, source_indices, loss_ok)
-
-
 def _attached(name: str) -> "SharedMemory":
     """Worker-side: the mapped segment for a name, cache-fresh.
 
-    Name-keyed: the driver's growth and double-buffer renames simply
-    land as new entries.  Above :data:`_SEGMENT_CACHE_MAX` entries the
-    cache is flushed — stale mappings close (tolerating live loaned
-    views, whose mapping simply outlives the cache entry) and the
-    requested segment re-attaches.
+    Name-keyed: the driver's growth renames simply land as new
+    entries.  Above :data:`_SEGMENT_CACHE_MAX` entries the cache is
+    flushed — stale mappings close (tolerating live loaned views,
+    whose mapping simply outlives the cache entry) and the requested
+    segment re-attaches.
     """
     cached = _SEGMENTS.get(name)
     if cached is not None:
@@ -309,21 +254,19 @@ def _attached(name: str) -> "SharedMemory":
     return segment
 
 
-def _run_tick_shm(
+def _run_tick(
     shard_id: int,
     now: float,
     epoch: int,
     request_name: str,
     reply_name: str,
 ) -> int:
-    """Worker-side: one tick through the shared-memory transport.
+    """Worker-side: one tick of one resident shard engine.
 
     Reads the routed batch zero-copy from the request segment, runs
-    the resident engine, writes the fresh-infection frame into the
+    the engine, writes the fresh-infection frame into the
     (driver-pre-sized) reply segment, and returns only the delivered
-    count — the reply arrays never touch the pickle pipe.  Serves
-    both ``"shmem"`` (as the submitted callable) and ``"ring"`` (from
-    the worker pump).
+    count — the reply arrays never touch the pickle pipe.
     """
     if _fault_matches(_shard_fault(), "kill", shard_id, epoch):
         os._exit(86)
@@ -344,72 +287,6 @@ def _run_tick_shm(
     return delivered
 
 
-def _ring_pump(command_name: str, reply_name: str) -> dict[str, int]:
-    """Worker-side: drain the command ring until a STOP command.
-
-    The pump *is* the ring transport's worker loop: it occupies the
-    slot's single executor worker, pops commands (doorbell-gated with
-    a bounded poll, so a missed wake self-heals within
-    :data:`_PUMP_POLL_S`), runs each tick, and pushes a DONE or ERROR
-    reply through the reply ring.  Engine failures become ERROR
-    replies (the shard fails, the pump survives); ring-protocol
-    corruption (:class:`~repro.runtime.ring.RingError`) propagates and
-    kills the pump — the driver sees the dead future and fails the
-    shard the same way it would a dead worker.  Returns worker-side
-    counters for the driver to fold into :meth:`ShardPool.stats`.
-    """
-    assert _BELLS is not None
-    doorbell, reply_bell = _BELLS
-    command = SpscRing.attach(command_name)
-    reply = SpscRing.attach(reply_name)
-    handled = 0
-    doorbell_timeouts = 0
-    try:
-        while True:
-            message = command.try_pop()
-            if message is None:
-                if not doorbell.wait(timeout=_PUMP_POLL_S):
-                    doorbell_timeouts += 1
-                doorbell.clear()
-                continue
-            if message.kind == KIND_STOP:
-                return {
-                    "handled": handled,
-                    "doorbell_timeouts": doorbell_timeouts,
-                }
-            try:
-                delivered = _run_tick_shm(
-                    message.shard,
-                    message.now,
-                    message.epoch,
-                    message.text,
-                    message.text2,
-                )
-            except Exception as error:
-                outcome = RingMessage(
-                    kind=KIND_ERROR,
-                    shard=message.shard,
-                    epoch=message.epoch,
-                    text=f"{type(error).__name__}: {error}",
-                )
-            else:
-                handled += 1
-                outcome = RingMessage(
-                    kind=KIND_DONE,
-                    shard=message.shard,
-                    epoch=message.epoch,
-                    value=delivered,
-                )
-            while not reply.try_push(outcome):
-                # The driver drains replies while waiting; a full
-                # reply ring is a transient, not a deadlock.
-                time.sleep(0.001)
-            reply_bell.set()
-    finally:
-        command.close()
-        reply.close()
-
-
 def _collect_sensors(shard_id: int) -> SensorState:
     """Worker-side: hand the shard's sensor clones back for merging."""
     engine = _ENGINES[shard_id]
@@ -417,7 +294,7 @@ def _collect_sensors(shard_id: int) -> SensorState:
 
 
 def _payload_nbytes(payload: TickPayload) -> int:
-    """Array bytes one pickled payload would push through the pipe."""
+    """Array bytes one payload stages into shared memory."""
     return sum(
         frame.nbytes
         for frame in payload[1:]
@@ -435,73 +312,6 @@ def _copy_payload(payload: TickPayload) -> TickPayload:
     return (now,) + frames  # type: ignore[return-value]
 
 
-def _terminate_executor(pool: ProcessPoolExecutor) -> bool:
-    """Tear one slot's executor down even when its worker is hung.
-
-    The single-worker variant of
-    :meth:`repro.runtime.runner.TrialRunner._terminate_pool`:
-    terminate, non-waiting shutdown, bounded join, then kill — so a
-    worker stuck in an uninterruptible tick cannot hang recovery.
-    Returns ``True`` when every worker is reaped and the executor's
-    manager thread has exited; forking a replacement while the dead
-    pool's threads still run risks deadlocking the children, so a
-    ``False`` caller must not respawn (the driver degrades to the
-    fork-free serial re-run instead).
-    """
-    workers = getattr(pool, "_processes", None)
-    processes = list(workers.values()) if isinstance(workers, dict) else []
-    for process in processes:
-        try:
-            process.terminate()
-        except (OSError, ValueError):  # noqa: RP007 — already-dead worker
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    deadline = time.monotonic() + 10.0
-    for process in processes:
-        try:
-            process.join(
-                timeout=min(1.0, max(0.0, deadline - time.monotonic()))
-            )
-            if process.is_alive():  # SIGTERM masked or worker wedged
-                process.kill()
-                process.join(
-                    timeout=max(0.1, deadline - time.monotonic())
-                )
-        except (OSError, ValueError, AssertionError):  # noqa: RP007 — reaped elsewhere
-            pass
-    manager = getattr(pool, "_executor_manager_thread", None)
-    if manager is not None and manager.is_alive():
-        manager.join(timeout=max(0.1, deadline - time.monotonic()))
-        if manager.is_alive():
-            return False
-    return not any(process.is_alive() for process in processes)
-
-
-@dataclass
-class _SlotChannel:
-    """Driver-side state of one worker slot's ring transport."""
-
-    command: SpscRing
-    reply: SpscRing
-    doorbell: "MpEvent"
-    reply_bell: "MpEvent"
-    #: The resident pump's future; ``None`` while paused (the slot's
-    #: worker is then free for ``submit`` traffic).
-    pump: Optional["Future[dict[str, int]]"] = None
-
-
-@dataclass
-class _Inflight:
-    """One dispatched shard awaiting :meth:`ShardPool.collect`."""
-
-    #: ``"ring"``, ``"shmem"``, ``"pickle"``, or ``"failed"``
-    #: (dispatch itself failed; ``error`` carries the exception).
-    kind: str
-    epoch: int
-    future: Optional["Future[Any]"] = None
-    error: Optional[BaseException] = None
-
-
 class ShardPool:
     """Dedicated single-worker pools hosting resident shard engines.
 
@@ -509,11 +319,6 @@ class ShardPool:
     ----------
     spec, num_shards, workers:
         As built by :class:`~repro.sim.shard.ShardedSimulator`.
-    transport:
-        ``"ring"``, ``"shmem"`` or ``"pickle"`` (see the module
-        docstring).  The shared-memory transports silently fall back
-        to pickle where ``multiprocessing.shared_memory`` is
-        unavailable.
     heartbeat:
         Optional per-shard reply deadline in seconds; a worker that
         misses it counts as failed (hung).  ``None`` waits forever.
@@ -529,41 +334,27 @@ class ShardPool:
         spec: "SimulationSpec",
         num_shards: int,
         workers: int,
-        transport: str = "ring",
         heartbeat: Optional[float] = None,
         supervise: bool = False,
     ):
-        if transport not in ("ring", "shmem", "pickle"):
-            raise ValueError(
-                f"ShardPool.transport: expected 'ring', 'shmem' or "
-                f"'pickle', got {transport!r}"
-            )
         if heartbeat is not None and heartbeat <= 0:
             raise ValueError(
                 f"ShardPool.heartbeat must be positive, got {heartbeat}"
             )
-        if transport != "pickle" and not shared_memory_available():
-            transport = "pickle"  # pragma: no cover - platform gap
         self._spec = spec
         self._num_shards = num_shards
-        self._transport = transport
         self._heartbeat = heartbeat
         self._supervise = supervise
         self._epoch = 0
         self._ticks = 0
         self._payload_bytes = 0
         self._pipe_bytes = 0
-        self._ring_bytes = 0
-        self._ring_round_trips = 0
         self._submit_round_trips = 0
-        self._ring_backpressure_waits = 0
-        self._doorbell_timeouts = 0
         self._dispatch_overlap_s = 0.0
         self._arenas: dict[int, tuple[ShmArena, ShmArena]] = {}
-        self._dbuffers: dict[int, tuple[ShmDoubleBuffer, ShmDoubleBuffer]] = {}
-        self._channels: dict[int, _SlotChannel] = {}
-        self._ring_replies: dict[int, RingMessage] = {}
-        self._pending: dict[int, _Inflight] = {}
+        #: This tick's dispatched shards: the submitted future, or the
+        #: exception that failed the dispatch itself.
+        self._pending: dict[int, Union["Future[int]", BaseException]] = {}
         self._tick_payloads: dict[int, TickPayload] = {}
         self._tick_fault: Optional[dict[str, object]] = None
         self._first_dispatch: Optional[float] = None
@@ -574,34 +365,19 @@ class ShardPool:
             [] for _ in range(num_shards)
         ]
         self._respawns = 0
-        pool_count = max(1, min(workers, num_shards))
-        self._bells: list[tuple["MpEvent", "MpEvent"]] = []
-        if self._transport == "ring":
-            self._bells = [
-                (multiprocessing.Event(), multiprocessing.Event())
-                for _ in range(pool_count)
-            ]
-            self._pools = [
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_init_bells,
-                    initargs=self._bells[slot],
-                )
-                for slot in range(pool_count)
-            ]
-        else:
-            self._pools = [
-                ProcessPoolExecutor(max_workers=1)
-                for _ in range(pool_count)
-            ]
+        #: Slots whose worker missed the heartbeat; :meth:`close`
+        #: terminates these rather than waiting for them.
+        self._hung: set[int] = set()
+        self._pools = [
+            ProcessPoolExecutor(max_workers=1)
+            for _ in range(max(1, min(workers, num_shards)))
+        ]
 
-    @property
-    def transport(self) -> str:
-        """The transport actually in use (after any fallback)."""
-        return self._transport
+    def _slot_of(self, shard_id: int) -> int:
+        return shard_id % len(self._pools)
 
     def _pool_for(self, shard_id: int) -> ProcessPoolExecutor:
-        return self._pools[shard_id % len(self._pools)]
+        return self._pools[self._slot_of(shard_id)]
 
     def _submit(
         self,
@@ -610,7 +386,7 @@ class ShardPool:
         /,
         *args: Any,
     ) -> "Future[_T]":
-        """An executor submit, counted as one fallback round trip."""
+        """An executor submit, counted as one round trip."""
         self._submit_round_trips += 1
         return pool.submit(fn, *args)
 
@@ -622,18 +398,6 @@ class ShardPool:
                 ShmArena(f"r{shard_id}"),
             )
             self._arenas[shard_id] = pair
-        return pair
-
-    def _shard_dbuffers(
-        self, shard_id: int
-    ) -> tuple[ShmDoubleBuffer, ShmDoubleBuffer]:
-        pair = self._dbuffers.get(shard_id)
-        if pair is None:
-            pair = (
-                ShmDoubleBuffer(f"q{shard_id}"),
-                ShmDoubleBuffer(f"r{shard_id}"),
-            )
-            self._dbuffers[shard_id] = pair
         return pair
 
     def seed(self, per_shard_seeds: list[np.ndarray]) -> None:
@@ -661,9 +425,9 @@ class ShardPool:
     def begin_tick(self) -> None:
         """Open one tick: advance the epoch, reset dispatch state.
 
-        The epoch advances once per tick in *every* transport (tick
-        ``N`` rides epoch ``N + 1``), so mid-run faults, double-buffer
-        parity, and replay accounting share one clock.
+        The epoch advances once per tick (tick ``N`` rides epoch
+        ``N + 1``), so mid-run faults and replay accounting share one
+        clock.
         """
         self._ticks += 1
         self._epoch += 1
@@ -679,73 +443,23 @@ class ShardPool:
         recorded as that shard's outcome and settled by
         :meth:`collect`, so one dead worker cannot mask the health of
         the others.  Payload arrays may be arena loans the driver
-        reuses for the *next* shard — every transport either copies
-        them into shared memory synchronously (ring/shmem) or copies
-        before the executor pickles them asynchronously (pickle).
+        reuses for the *next* shard; staging copies them into shared
+        memory synchronously.
         """
-        epoch = self._epoch
-        owned: Optional[TickPayload] = None
         if self._supervise:
-            owned = _copy_payload(payload)
-            self._tick_payloads[shard_id] = owned
+            self._tick_payloads[shard_id] = _copy_payload(payload)
         if self._first_dispatch is None:
             self._first_dispatch = time.monotonic()
         try:
-            if self._transport == "ring":
-                self._dispatch_ring(shard_id, payload, epoch)
-            elif self._transport == "shmem":
-                control = self._stage_request(
-                    shard_id, payload, epoch, self._tick_fault
-                )
-                self._pipe_bytes += len(pickle.dumps(control))
-                future = self._submit(
-                    self._pool_for(shard_id), _run_tick_shm, *control
-                )
-                self._pending[shard_id] = _Inflight("shmem", epoch, future)
-            else:
-                if owned is None:
-                    owned = _copy_payload(payload)
-                self._payload_bytes += _payload_nbytes(owned)
-                future = self._submit(
-                    self._pool_for(shard_id), _run_tick, shard_id, owned, epoch
-                )
-                self._pending[shard_id] = _Inflight("pickle", epoch, future)
-        except Exception as error:
-            self._pending[shard_id] = _Inflight(
-                "failed", epoch, error=error
+            self._pending[shard_id] = self._submit_tick(
+                self._pool_for(shard_id),
+                shard_id,
+                payload,
+                self._epoch,
+                self._tick_fault,
             )
-
-    def _dispatch_ring(
-        self, shard_id: int, payload: TickPayload, epoch: int
-    ) -> None:
-        channel = self._ensure_channel(shard_id % len(self._pools))
-        control = self._stage_request(
-            shard_id, payload, epoch, self._tick_fault
-        )
-        _, now, send_epoch, request_name, reply_name = control
-        self._ring_push(
-            channel,
-            RingMessage(
-                kind=KIND_TICK,
-                shard=shard_id,
-                epoch=send_epoch,
-                now=now,
-                text=request_name,
-                text2=reply_name,
-            ),
-        )
-        if _fault_matches(self._tick_fault, "garble-ring", shard_id, epoch):
-            channel.command.garble_last_push()
-        if _fault_matches(
-            self._tick_fault, "stale-doorbell", shard_id, epoch
-        ):
-            # Deliberately withhold the wake; the pump's bounded poll
-            # finds the command within _PUMP_POLL_S — results are
-            # identical, only latency (and the timeout counter) moves.
-            pass
-        else:
-            channel.doorbell.set()
-        self._pending[shard_id] = _Inflight("ring", epoch)
+        except Exception as error:
+            self._pending[shard_id] = error
 
     def collect(self, timer: Optional["StageTimer"] = None) -> list[TickReply]:
         """Settle every dispatched shard, in shard order.
@@ -765,21 +479,22 @@ class ShardPool:
             self._first_dispatch = None
         outcomes: list[Union[TickReply, BaseException]] = []
         for shard_id in range(self._num_shards):
-            inflight = self._pending.pop(shard_id, None)
-            if inflight is None:
+            pending = self._pending.pop(shard_id, None)
+            if pending is None:
                 outcomes.append(
                     RuntimeError(f"shard {shard_id} was never dispatched")
                 )
                 continue
-            settled = self._await_reply(shard_id, inflight)
+            settled = (
+                pending
+                if isinstance(pending, BaseException)
+                else self._settle(shard_id, pending)
+            )
             if timer is not None:
                 timer.lap("wait")
-            outcomes.append(self._read_reply(shard_id, inflight, settled))
+            outcomes.append(self._read_reply(shard_id, self._epoch, settled))
             if timer is not None:
                 timer.lap("collect")
-        if self._transport == "pickle":
-            # Arrays ride the pipe in pickle mode, so pipe ≈ payload.
-            self._pipe_bytes = self._payload_bytes
         failures = [
             index
             for index, outcome in enumerate(outcomes)
@@ -807,238 +522,35 @@ class ShardPool:
             replies.append(outcome)
         return replies
 
-    def tick(self, payloads: list[TickPayload]) -> list[TickReply]:
-        """One whole tick: routed batches out, per-shard replies back.
-
-        The classic all-at-once entry point, now a thin wrapper over
-        the streamed :meth:`begin_tick` / :meth:`dispatch_shard` /
-        :meth:`collect` API.
-        """
-        self.begin_tick()
-        for shard_id, payload in enumerate(payloads):
-            self.dispatch_shard(shard_id, payload)
-        return self.collect()
-
-    def _await_reply(
-        self, shard_id: int, inflight: _Inflight
-    ) -> Union[int, TickReply, BaseException]:
-        """Block until one shard's reply (or failure) is known."""
-        if inflight.kind == "failed":
-            assert inflight.error is not None
-            return inflight.error
-        if inflight.kind == "ring":
-            return self._await_ring_reply(shard_id, inflight.epoch)
-        assert inflight.future is not None
-        return self._settle(inflight.future)
+    def _submit_tick(
+        self,
+        pool: ProcessPoolExecutor,
+        shard_id: int,
+        payload: TickPayload,
+        epoch: int,
+        fault: Optional[dict[str, object]],
+    ) -> "Future[int]":
+        """Stage one shard's batch and submit its control tuple."""
+        control = self._stage_request(shard_id, payload, epoch, fault)
+        self._pipe_bytes += len(pickle.dumps(control))
+        return self._submit(pool, _run_tick, *control)
 
     def _read_reply(
         self,
         shard_id: int,
-        inflight: _Inflight,
-        settled: Union[int, TickReply, BaseException],
+        epoch: int,
+        settled: Union[int, BaseException],
     ) -> Union[TickReply, BaseException]:
-        """Turn a settled reply into a ``TickReply`` outcome."""
+        """Turn a settled delivered count into a ``TickReply`` outcome."""
         if isinstance(settled, BaseException):
             return settled
-        if inflight.kind == "pickle":
-            assert isinstance(settled, tuple)
-            self._payload_bytes += settled[0].nbytes
-            return settled
-        assert isinstance(settled, int)
         try:
-            if inflight.kind == "ring":
-                (fresh,) = self._dbuffers[shard_id][1].read(inflight.epoch)
-            else:
-                (fresh,) = self._arenas[shard_id][1].read(inflight.epoch)
+            (fresh,) = self._arenas[shard_id][1].read(epoch)
         except Exception as error:
             return error
         assert fresh is not None
         self._payload_bytes += fresh.nbytes
         return (fresh, settled)
-
-    # -- the ring transport --------------------------------------------
-
-    def _ensure_channel(self, slot: int) -> _SlotChannel:
-        """The slot's ring channel, with its pump running."""
-        channel = self._channels.get(slot)
-        if channel is None:
-            doorbell, reply_bell = self._bells[slot]
-            channel = _SlotChannel(
-                command=SpscRing.create(f"c{slot}", _RING_SLOTS),
-                reply=SpscRing.create(f"p{slot}", _RING_SLOTS),
-                doorbell=doorbell,
-                reply_bell=reply_bell,
-            )
-            self._channels[slot] = channel
-        if channel.pump is None:
-            channel.doorbell.clear()
-            channel.reply_bell.clear()
-            channel.pump = self._submit(
-                self._pools[slot],
-                _ring_pump,
-                channel.command.name,
-                channel.reply.name,
-            )
-        return channel
-
-    def _ring_push(
-        self, channel: _SlotChannel, message: RingMessage
-    ) -> None:
-        """Publish one command, waiting out a full ring (bounded).
-
-        A full command ring is back-pressure from a busy worker: the
-        driver re-rings the doorbell (the worker may have missed a
-        wake) and retries until a slot frees, the pump dies, or the
-        heartbeat deadline passes.
-        """
-        deadline = (
-            None
-            if self._heartbeat is None
-            else time.monotonic() + self._heartbeat
-        )
-        while not channel.command.try_push(message):
-            self._ring_backpressure_waits += 1
-            channel.doorbell.set()
-            pump = channel.pump
-            if pump is not None and pump.done():
-                error = pump.exception()
-                raise error if error is not None else RuntimeError(
-                    "ring pump exited while its command ring was full"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"command ring stayed full for the "
-                    f"{self._heartbeat:g}s heartbeat"
-                )
-            time.sleep(0.0005)
-        self._ring_bytes += SLOT_BYTES
-
-    def _drain_ring_replies(self, channel: _SlotChannel) -> None:
-        """Move every published reply into the per-shard table."""
-        while True:
-            message = channel.reply.try_pop()
-            if message is None:
-                return
-            self._ring_bytes += SLOT_BYTES
-            self._ring_round_trips += 1
-            self._ring_replies[message.shard] = message
-
-    def _await_ring_reply(
-        self, shard_id: int, epoch: int
-    ) -> Union[int, BaseException]:
-        """One shard's ring reply: delivered count or failure."""
-        slot = shard_id % len(self._pools)
-        channel = self._channels.get(slot)
-        if channel is None:
-            return RuntimeError(f"no ring channel for slot {slot}")
-        deadline = (
-            None
-            if self._heartbeat is None
-            else time.monotonic() + self._heartbeat
-        )
-        while True:
-            pump = channel.pump
-            pump_done = pump is not None and pump.done()
-            try:
-                self._drain_ring_replies(channel)
-            except Exception as error:
-                return error
-            message = self._ring_replies.get(shard_id)
-            if message is not None:
-                if message.epoch < epoch:
-                    # A superseded dispatch's reply; drop and keep
-                    # waiting for the current epoch.
-                    del self._ring_replies[shard_id]
-                    continue
-                del self._ring_replies[shard_id]
-                if message.epoch > epoch:
-                    return ShmProtocolError(
-                        f"ring reply epoch {message.epoch} but tick "
-                        f"expects {epoch}"
-                    )
-                if message.kind == KIND_ERROR:
-                    return RuntimeError(
-                        f"shard {shard_id} worker failed: {message.text}"
-                    )
-                return message.value
-            if pump_done:
-                assert pump is not None
-                error = pump.exception()
-                if error is not None:
-                    return error
-                return RuntimeError(
-                    "ring pump exited before replying"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                return TimeoutError(
-                    f"shard worker gave no reply within the "
-                    f"{self._heartbeat:g}s heartbeat"
-                )
-            channel.reply_bell.wait(timeout=0.005)
-            channel.reply_bell.clear()
-
-    def _stop_pump(
-        self, slot: int, timeout: float, required: bool
-    ) -> bool:
-        """Pause one slot's pump (STOP command + drained future).
-
-        Returns ``True`` when the slot's worker is idle again (pump
-        returned, or already dead with its executor still usable);
-        ``False`` when the pump is unresponsive — the caller must
-        terminate the executor instead of submitting to it.  With
-        ``required`` a hung pump raises (snapshot/sensor paths treat
-        it like any pool failure).
-        """
-        channel = self._channels.get(slot)
-        if channel is None or channel.pump is None:
-            return True
-        pump = channel.pump
-        channel.pump = None
-        if not pump.done():
-            stop = RingMessage(
-                kind=KIND_STOP, shard=0, epoch=self._epoch
-            )
-            push_deadline = time.monotonic() + min(5.0, timeout)
-            while not channel.command.try_push(stop):
-                channel.doorbell.set()
-                if pump.done() or time.monotonic() > push_deadline:
-                    break
-                time.sleep(0.0005)
-            else:
-                self._ring_bytes += SLOT_BYTES
-            channel.doorbell.set()
-        try:
-            stats = pump.result(timeout=timeout)
-        except _FutureTimeout:
-            if required:
-                raise RuntimeError(
-                    f"slot {slot} ring pump did not stop within "
-                    f"{timeout:g}s"
-                ) from None
-            return False
-        except Exception:
-            # The pump died earlier (ring corruption, broken pool);
-            # its failure already surfaced through the tick outcomes.
-            return True
-        self._doorbell_timeouts += int(stats.get("doorbell_timeouts", 0))
-        return True
-
-    def _pause_pumps(self) -> None:
-        """Stop every pump so the executors can take submit traffic."""
-        for slot in list(self._channels):
-            self._stop_pump(slot, timeout=30.0, required=True)
-
-    def _teardown_channel(self, slot: int) -> None:
-        """Drop a slot's rings (respawn path: the next tick rebuilds
-        them fresh and drained, under new doorbells)."""
-        channel = self._channels.pop(slot, None)
-        if channel is None:
-            return
-        channel.command.close()
-        channel.reply.close()
-        for shard_id in list(self._ring_replies):
-            if shard_id % len(self._pools) == slot:
-                del self._ring_replies[shard_id]
 
     def _stage_request(
         self,
@@ -1047,20 +559,9 @@ class ShardPool:
         epoch: int,
         fault: Optional[dict[str, object]],
     ) -> ShmControl:
-        """Write one shard's batch into its request arena.
-
-        The ring transport stages into the epoch-parity buffer of the
-        shard's double-buffered arenas, so staging tick ``N + 1``
-        never disturbs tick ``N``'s still-pinned messages; the shmem
-        transport keeps its single-buffer pair.
-        """
+        """Write one shard's batch into its request arena."""
         now, sources, targets, source_indices, loss_ok, immunize = payload
-        if self._transport == "ring":
-            request_db, reply_db = self._shard_dbuffers(shard_id)
-            request = request_db.arena(epoch)
-            reply = reply_db.arena(epoch)
-        else:
-            request, reply = self._shard_arenas(shard_id)
+        request, reply = self._shard_arenas(shard_id)
         frames = [sources, targets, source_indices, loss_ok, immunize]
         # The reply's single frame can never exceed the tick's
         # target count, so the driver pre-sizes it here — workers
@@ -1075,18 +576,22 @@ class ShardPool:
             send_epoch = epoch - 1
         return (shard_id, now, send_epoch, request.name, reply.name)
 
-    def _settle(self, future: "Future[Any]") -> Any:
+    def _settle(
+        self, shard_id: int, future: "Future[int]"
+    ) -> Union[int, BaseException]:
         """A future's result, or the exception that failed it.
 
         With a heartbeat, a worker that gives no reply in time counts
-        as hung: the timeout becomes the failure outcome and recovery
-        replaces the (still wedged) worker rather than waiting on it.
+        as hung: the timeout becomes the failure outcome, and its slot
+        is marked so recovery or :meth:`close` terminates the (still
+        wedged) worker rather than waiting on it.
         """
         try:
             if self._heartbeat is not None:
                 return future.result(timeout=self._heartbeat)
             return future.result()
         except _FutureTimeout:
+            self._hung.add(self._slot_of(shard_id))
             return TimeoutError(
                 f"shard worker gave no reply within the "
                 f"{self._heartbeat:g}s heartbeat"
@@ -1113,9 +618,7 @@ class ShardPool:
         raises, and the driver falls back to the serial re-run.
         """
         assert self._seeds is not None
-        slots = sorted(
-            {shard_id % len(self._pools) for shard_id in failures}
-        )
+        slots = sorted({self._slot_of(shard_id) for shard_id in failures})
         first_error = outcomes[failures[0]]
         for slot in slots:
             self._respawns += 1
@@ -1127,7 +630,7 @@ class ShardPool:
             reason = next(
                 str(outcomes[index]) or type(outcomes[index]).__name__
                 for index in failures
-                if index % len(self._pools) == slot
+                if self._slot_of(index) == slot
             )
             self._respawn_slot(slot, payloads, outcomes, reason)
 
@@ -1139,27 +642,15 @@ class ShardPool:
         reason: str,
     ) -> None:
         assert self._seeds is not None
-        self._teardown_channel(slot)
-        if not _terminate_executor(self._pools[slot]):
+        if not terminate_executor(self._pools[slot]):
             raise RuntimeError(
                 f"slot {slot} teardown did not complete; forking a "
                 "replacement worker would risk a deadlock"
             )
-        if self._transport == "ring":
-            self._bells[slot] = (
-                multiprocessing.Event(),
-                multiprocessing.Event(),
-            )
-            self._pools[slot] = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_init_bells,
-                initargs=self._bells[slot],
-            )
-        else:
-            self._pools[slot] = ProcessPoolExecutor(max_workers=1)
-        pool = self._pools[slot]
+        self._hung.discard(slot)
+        pool = self._pools[slot] = ProcessPoolExecutor(max_workers=1)
         for shard_id in range(self._num_shards):
-            if shard_id % len(self._pools) != slot:
+            if self._slot_of(shard_id) != slot:
                 continue
             self._submit(
                 pool, _build_engine, self._spec, shard_id,
@@ -1196,41 +687,25 @@ class ShardPool:
 
         Replays consume no driver RNG (payloads carry only pre-drawn
         arrays) and use fresh epochs, so a tick-keyed fault cannot
-        re-fire during its own recovery.  The ring transport replays
-        through the executor fallback (no pump exists on a fresh
-        slot yet); the next regular tick rebuilds its ring.
+        re-fire during its own recovery.
         """
         self._epoch += 1
         epoch = self._epoch
-        if self._transport == "shmem":
-            control = self._stage_request(shard_id, payload, epoch, None)
-            self._pipe_bytes += len(pickle.dumps(control))
-            settled = self._settle(
-                self._submit(pool, _run_tick_shm, *control)
-            )
-            if isinstance(settled, BaseException):
-                raise settled
-            (fresh,) = self._arenas[shard_id][1].read(epoch)
-            assert fresh is not None
-            return (fresh, settled)
-        self._payload_bytes += _payload_nbytes(payload)
         settled = self._settle(
-            self._submit(pool, _run_tick, shard_id, payload, epoch)
+            shard_id, self._submit_tick(pool, shard_id, payload, epoch, None)
         )
-        if isinstance(settled, BaseException):
-            raise settled
-        return settled  # type: ignore[no-any-return]
+        outcome = self._read_reply(shard_id, epoch, settled)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def snapshot(self) -> list[dict[str, Any]]:
         """Every shard's state (sensor clones included), in shard order.
 
         Under supervision the states become the new recovery baseline
         and the replay buffer resets — the checkpoint cadence is what
-        bounds replay memory.  Ring pumps pause first (the slot's
-        single worker must be free to take the submit), and restart
-        lazily on the next tick.
+        bounds replay memory.
         """
-        self._pause_pumps()
         futures = [
             self._submit(
                 self._pool_for(shard_id), _snapshot_shard, shard_id
@@ -1245,7 +720,6 @@ class ShardPool:
 
     def restore(self, states: list[dict[str, Any]]) -> None:
         """Overwrite every shard's state (a checkpoint-resume start)."""
-        self._pause_pumps()
         futures = [
             self._submit(
                 self._pool_for(shard_id), _restore_shard, shard_id, state
@@ -1269,7 +743,6 @@ class ShardPool:
 
     def collect_sensors(self) -> list[SensorState]:
         """Every shard's sensor clones, in shard order."""
-        self._pause_pumps()
         futures: list[Future[SensorState]] = [
             self._submit(
                 self._pool_for(shard_id), _collect_sensors, shard_id
@@ -1281,75 +754,48 @@ class ShardPool:
     def stats(self) -> dict[str, int | float | str]:
         """Transport counters for benchmarks and tests.
 
-        ``payload_bytes`` is the array volume moved per run in any
-        transport; ``pipe_bytes`` is what the *tick path* pushed
-        through the executor's pickle pipe — the whole payload in
-        pickle mode, per-tick control tuples in shmem mode, zero in
-        ring mode (tick control rides the rings; the executor carries
-        only build/seed/snapshot/sensor/replay calls, visible as
-        ``submit_round_trips``).
-        ``ring_bytes``/``ring_round_trips`` count the command-ring
-        path; ``submit_round_trips`` counts every executor submit, so
-        ring mode's per-tick control cost is visible as
-        ``ring_round_trips`` growing with ``ticks × shards`` while
-        ``submit_round_trips`` stays O(shards).
-        ``dispatch_overlap_s`` accumulates the per-tick window between
-        the first shard dispatch and collect — driver staging time
-        that worker compute overlapped.
+        ``payload_bytes`` is the array volume staged through shared
+        memory; ``pipe_bytes`` is what the tick path pushed through
+        the executor's pickle pipe (the per-tick control tuples);
+        ``submit_round_trips`` counts every executor submit — one per
+        shard-tick plus engine builds, snapshots, sensor collection
+        and replays.  ``dispatch_overlap_s`` accumulates the per-tick
+        window between the first shard dispatch and collect — driver
+        staging time that worker compute overlapped.
         """
         return {
-            "transport": self._transport,
+            "transport": "shmem",
             "ticks": self._ticks,
             "payload_bytes": self._payload_bytes,
             "pipe_bytes": self._pipe_bytes,
-            "ring_bytes": self._ring_bytes,
-            "ring_round_trips": self._ring_round_trips,
             "submit_round_trips": self._submit_round_trips,
-            "ring_backpressure_waits": self._ring_backpressure_waits,
-            "doorbell_timeouts": self._doorbell_timeouts,
             "dispatch_overlap_s": self._dispatch_overlap_s,
         }
 
     def close(self) -> None:
-        """Tear down workers, rings, and shared-memory segments.
+        """Tear down workers and shared-memory segments.
 
         Idempotent; runs from the driver's ``finally``, the
         pool-failure path, context-manager exit, and ``__del__`` —
-        whichever comes first.  Ring pumps are stopped first (a pump
-        that won't stop means a wedged worker, which is terminated the
-        hard way) so the executors are idle; then ``wait=True``
-        shutdown so every executor's management thread has fully
-        exited before the interpreter can reach the concurrent.futures
-        atexit hook.  Segments are unlinked *after* the workers exit
-        so no worker can attach a name mid-unlink.
+        whichever comes first.  A slot whose worker missed the
+        heartbeat is terminated (waiting would take as long as the
+        hang); every other executor shuts down with ``wait=True``, so
+        its management thread has fully exited before the interpreter
+        can reach the concurrent.futures atexit hook.  Segments are
+        unlinked *after* the workers exit so no worker can attach a
+        name mid-unlink.
         """
         if self._closed:
             return
         self._closed = True
-        wedged: list[int] = []
-        for slot in list(self._channels):
-            try:
-                stopped = self._stop_pump(slot, timeout=5.0, required=False)
-            except Exception:  # noqa: RP007 — teardown-path stop; the terminate below is the fallback
-                stopped = False
-            if not stopped:
-                wedged.append(slot)
-        for slot in wedged:
-            _terminate_executor(self._pools[slot])
+        for slot in sorted(self._hung):
+            terminate_executor(self._pools[slot])
         for pool in self._pools:
             pool.shutdown(wait=True, cancel_futures=True)
-        for channel in self._channels.values():
-            channel.command.close()
-            channel.reply.close()
-        self._channels.clear()
         for request, reply in self._arenas.values():
             request.close()
             reply.close()
         self._arenas.clear()
-        for request_db, reply_db in self._dbuffers.values():
-            request_db.close()
-            reply_db.close()
-        self._dbuffers.clear()
 
     def __enter__(self) -> "ShardPool":
         return self

@@ -1,15 +1,13 @@
 """Shared-memory tick transport: header-framed array exchange.
 
-The shard worker pool's original transport pickled every routed probe
-batch (`TickPayload`) into the executor pipe and every reply back out
-— per-tick serialization cost proportional to the probe volume.  This
-module replaces the bulk path with named
-:mod:`multiprocessing.shared_memory` segments: the driver writes each
-shard's arrays into that shard's *request* arena, the worker maps the
-segment once and reads them zero-copy, and the fresh-infection reply
-comes back the same way through a *reply* arena.  Only a tiny control
-tuple (shard id, tick time, epoch, segment names) crosses the pickle
-pipe each tick.
+The shard worker pool moves its per-tick arrays through named
+:mod:`multiprocessing.shared_memory` segments rather than the executor
+pipe: the driver writes each shard's routed batch (`TickPayload`) into
+that shard's *request* arena, the worker maps the segment once and
+reads the arrays zero-copy, and the fresh-infection reply comes back
+the same way through a *reply* arena.  Only a tiny control tuple
+(shard id, tick time, epoch, segment names) crosses the pickle pipe
+each tick.
 
 **Frame protocol.**  A segment holds one *message* at a time::
 
@@ -51,17 +49,10 @@ import itertools
 import os
 import struct
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from multiprocessing.shared_memory import SharedMemory
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from multiprocessing.shared_memory import SharedMemory
-
-try:  # pragma: no cover - import always succeeds on CPython >= 3.8
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic platforms only
-    _shared_memory = None  # type: ignore[assignment]
 
 
 class ShmProtocolError(RuntimeError):
@@ -120,11 +111,6 @@ _NAME_SEQUENCE = itertools.count()
 #: Unlinked segments whose unmap was blocked by a live loaned view;
 #: kept so their memory outlives the borrower (freed at exit).
 _RETIRED_SEGMENTS: list["SharedMemory"] = []
-
-
-def shared_memory_available() -> bool:
-    """Whether this platform offers ``multiprocessing.shared_memory``."""
-    return _shared_memory is not None
 
 
 def _aligned(nbytes: int) -> int:
@@ -271,14 +257,10 @@ def _create_segment(tag: str, capacity: int) -> "SharedMemory":
     pid across processes; a collision with a segment leaked by a
     *previous* pid-reusing process just advances the counter.
     """
-    if _shared_memory is None:  # pragma: no cover - guarded by callers
-        raise ShmProtocolError("shared memory is unavailable here")
     while True:
         name = f"{NAME_PREFIX}{os.getpid()}-{next(_NAME_SEQUENCE)}-{tag}"
         try:
-            return _shared_memory.SharedMemory(
-                name=name, create=True, size=capacity
-            )
+            return SharedMemory(name=name, create=True, size=capacity)
         except FileExistsError:  # pragma: no cover - pid-reuse relic
             continue
 
@@ -323,14 +305,12 @@ def attach(name: str) -> "SharedMemory":
     again from a worker makes Python's resource tracker complain
     about — or worse, act on — "leaked" segments at exit.
     """
-    if _shared_memory is None:  # pragma: no cover - guarded by callers
-        raise ShmProtocolError("shared memory is unavailable here")
     try:
         # Python >= 3.13 supports opting out directly.
-        return _shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
+        return SharedMemory(name=name, track=False)  # type: ignore[call-arg]
     except TypeError:
         with _tracker_bypass():
-            return _shared_memory.SharedMemory(name=name)
+            return SharedMemory(name=name)
 
 
 class ShmArena:
@@ -444,91 +424,16 @@ class ShmArena:
             pass
 
 
-class ShmDoubleBuffer:
-    """An epoch-parity pair of :class:`ShmArena` buffers.
-
-    The §4.12 frame protocol tags every message with its epoch, and
-    the shard pool advances the epoch once per tick — so parity
-    (``epoch & 1``) deterministically alternates buffers between
-    consecutive ticks.  Staging tick ``N + 1`` therefore never touches
-    the buffer holding tick ``N``'s message: a reader still pinning
-    tick ``N``'s frames (a zero-copy loan, or a worker racing a
-    doorbell) keeps seeing the *old epoch's intact message*, never a
-    torn frame, and an expected-epoch read of the wrong buffer fails
-    loudly as a stale-epoch :class:`ShmProtocolError`.
-
-    Growth and retirement are per buffer: each side grows
-    independently through :meth:`ShmArena.ensure`, and the
-    BufferError-safe retirement path (``_RETIRED_SEGMENTS``) covers
-    the standby buffer exactly like the active one — a loaned view
-    into either side pins only that side's old mapping.
-    """
-
-    __slots__ = ("tag", "_buffers", "_closed")
-
-    def __init__(self, tag: str, capacity: int = MIN_CAPACITY) -> None:
-        self.tag = tag
-        self._buffers = (
-            ShmArena(f"{tag}a", capacity),
-            ShmArena(f"{tag}b", capacity),
-        )
-        self._closed = False
-
-    def arena(self, epoch: int) -> ShmArena:
-        """The buffer carrying (or about to carry) ``epoch``."""
-        if self._closed:
-            raise ShmProtocolError(f"double buffer {self.tag} is closed")
-        return self._buffers[epoch & 1]
-
-    def ensure(self, epoch: int, nbytes: int) -> bool:
-        """Grow ``epoch``'s buffer to hold ``nbytes``; True if grown."""
-        return self.arena(epoch).ensure(nbytes)
-
-    def write(
-        self, epoch: int, frames: Sequence[Optional[np.ndarray]]
-    ) -> None:
-        """Stage one message into ``epoch``'s buffer."""
-        self.arena(epoch).write(epoch, frames)
-
-    def read(
-        self, epoch: int, copy: bool = True
-    ) -> list[Optional[np.ndarray]]:
-        """Deserialize ``epoch``'s message from its parity buffer."""
-        return self.arena(epoch).read(epoch, copy=copy)
-
-    def close(self) -> None:
-        """Unlink both buffers; safe to call repeatedly."""
-        if self._closed:
-            return
-        self._closed = True
-        for buffer in self._buffers:
-            buffer.close()
-
-    def __enter__(self) -> "ShmDoubleBuffer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        try:
-            self.close()
-        except Exception:  # noqa: RP007 — interpreter-teardown close; nothing left to tell
-            pass
-
-
 __all__ = [
     "MAGIC",
     "MIN_CAPACITY",
     "NAME_PREFIX",
     "VERSION",
     "ShmArena",
-    "ShmDoubleBuffer",
     "ShmProtocolError",
     "attach",
     "capacity_for",
     "frames_capacity",
     "read_frames",
-    "shared_memory_available",
     "write_frames",
 ]

@@ -507,9 +507,8 @@ class _Exchange:
         The streamed analogue of :meth:`permute` + :meth:`slices` for
         a single shard.  The result is an arena loan reused for the
         *next* shard's gather under the same ``name`` — the consumer
-        must serialize or copy it before then (the pool's transports
-        all do: shared-memory staging is synchronous, and the pickle
-        path copies before submitting).
+        must serialize or copy it before then (the pool does: its
+        shared-memory staging is synchronous).
         """
         out = self.arena.request(name, len(bucket), values.dtype)
         np.take(values, bucket, out=out)
@@ -528,20 +527,6 @@ class ShardedSimulator:
         ``1`` (default) runs every shard in-process; ``> 1`` fans
         shards out over dedicated worker processes, one per shard,
         capped at ``workers`` concurrent pools.
-    transport:
-        How per-tick batches move between driver and pool workers:
-        ``"ring"`` (default) stages arrays in double-buffered
-        shared-memory arenas and streams each shard's dispatch
-        through a persistent per-worker command ring the moment its
-        routed slice is ready (:mod:`repro.runtime.ring`) — no
-        executor round trip on the tick path; ``"shmem"`` stages
-        arrays in single-buffered arenas
-        (:mod:`repro.runtime.shmem`) and ships a tiny control tuple
-        per shard per tick through the executor; ``"pickle"``
-        serializes the arrays through the pool's normal argument
-        path.  All transports are bitwise-identical; the
-        shared-memory ones silently fall back to pickle where POSIX
-        shared memory is unavailable.  Ignored when ``workers == 1``.
     heartbeat:
         Optional per-shard reply deadline (seconds) for pooled ticks;
         a worker that misses it counts as failed and is respawned
@@ -562,7 +547,6 @@ class ShardedSimulator:
         self,
         spec: "SimulationSpec",
         workers: int = 1,
-        transport: str = "ring",
         heartbeat: Optional[float] = None,
         checkpointer: Optional["Checkpointer"] = None,
         resume: Optional[dict] = None,
@@ -607,11 +591,6 @@ class ShardedSimulator:
                         "process-pool shard mode needs grids without "
                         "prior observations"
                     )
-        if transport not in ("ring", "shmem", "pickle"):
-            raise ValueError(
-                "ShardedSimulator.transport: expected 'ring', 'shmem' "
-                f"or 'pickle', got {transport!r}"
-            )
         if heartbeat is not None and heartbeat <= 0:
             raise ValueError(
                 "ShardedSimulator.heartbeat must be positive, "
@@ -626,12 +605,11 @@ class ShardedSimulator:
         self.spec = spec
         self.plan = plan
         self.workers = workers
-        self.transport = transport
         self.heartbeat = heartbeat
         self.checkpointer = checkpointer
         self.resume = resume
-        #: Filled after a pooled run: per-transport byte/round-trip
-        #: counters and overlap timings from
+        #: Filled after a pooled run: byte/round-trip counters and
+        #: overlap timings from
         #: :meth:`repro.runtime.shardpool.ShardPool.stats`.
         self.transport_stats: Optional[dict[str, int | float | str]] = None
 
@@ -699,7 +677,6 @@ class ShardedSimulator:
                         spec,
                         num_shards,
                         self.workers,
-                        transport=self.transport,
                         heartbeat=self.heartbeat,
                         # Supervision needs the checkpoint cadence to
                         # bound the replay buffer; without one, a pool

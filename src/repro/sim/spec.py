@@ -329,7 +329,6 @@ def simulate(
     rng: SeedLike,
     *,
     shard_workers: int = 1,
-    shard_transport: str = "ring",
     checkpoint_dir: "Union[str, os.PathLike[str], None]" = None,
     restore_from: "Union[str, os.PathLike[str], None]" = None,
     shard_heartbeat: Optional[float] = None,
@@ -341,12 +340,7 @@ def simulate(
     bitwise-identical to the serial reference; under
     ``kernel_override(False)`` the same spec takes the serial
     reference path, like every compiled kernel.  ``shard_workers > 1``
-    fans shards out over worker processes (results unchanged);
-    ``shard_transport`` picks how pooled batches move — the pipelined
-    command-ring transport over double-buffered shared-memory arenas
-    (``"ring"``, default), single-buffered arenas with one executor
-    submit per shard-tick (``"shmem"``), or the executor pickle pipe
-    (``"pickle"``) — with no effect on results.
+    fans shards out over worker processes (results unchanged).
 
     ``checkpoint_dir`` (with ``spec.checkpoint_every`` set) persists
     the full run state at the spec's cadence; ``restore_from`` names a
@@ -395,7 +389,6 @@ def simulate(
         return ShardedSimulator(
             spec,
             workers=shard_workers,
-            transport=shard_transport,
             heartbeat=shard_heartbeat,
             checkpointer=checkpointer,
             resume=resume,

@@ -9,9 +9,14 @@ property — that the recovered campaign equals a clean serial one
 bit for bit.
 """
 
+import time
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.runtime import runner as runner_module
+from repro.runtime import shardpool
 from repro.runtime import (
     FaultPlan,
     ResultCache,
@@ -24,7 +29,7 @@ from repro.runtime import (
     results_equal,
 )
 from repro.runtime.faults import FaultSpec, InjectedFault, plan_from_env
-from repro.runtime.runner import TrialTimeoutError
+from repro.runtime.runner import TrialTimeoutError, terminate_executor
 
 
 def seeded_trial(seed=None):
@@ -127,6 +132,64 @@ class TestTimeouts:
             "not enforced under serial" in event
             for event in report.fallback_events
         )
+
+
+class _UnreapedWorker:
+    """A worker that has exited but is not reaped yet.
+
+    Its sentinel is ready, so ``join`` returns at once, while
+    ``is_alive()`` still reads True for its first few polls — what a
+    worker looks like while the executor's manager thread is reaping
+    it.
+    """
+
+    def __init__(self, live_polls=3):
+        self.live_polls = live_polls
+
+    def terminate(self):
+        pass
+
+    def kill(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        self.live_polls -= 1
+        return self.live_polls >= 0
+
+
+class _StubExecutor:
+    """The executor attributes the teardown helper reads."""
+
+    def __init__(self, *workers):
+        self._processes = dict(enumerate(workers))
+        self._executor_manager_thread = None
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self._processes = None
+
+
+class TestExecutorTeardown:
+    def test_dead_but_unreaped_worker_counts_as_torn_down(self):
+        pool = _StubExecutor(_UnreapedWorker(), _UnreapedWorker())
+        assert terminate_executor(pool)
+
+    def test_worker_that_never_exits_is_reported(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "_TEARDOWN_SECONDS", 0.2)
+        pool = _StubExecutor(_UnreapedWorker(live_polls=10**9))
+        assert not terminate_executor(pool)
+
+    def test_hung_workers_are_reaped_within_the_deadline(self):
+        pool = ProcessPoolExecutor(max_workers=2)
+        futures = [pool.submit(time.sleep, 30) for _ in range(2)]
+        while not all(future.running() for future in futures):
+            time.sleep(0.01)
+        assert terminate_executor(pool)
+
+    def test_both_pools_share_one_helper(self):
+        assert shardpool.terminate_executor is terminate_executor
 
 
 class TestWorkerDeath:

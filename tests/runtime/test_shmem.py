@@ -13,19 +13,12 @@ from repro.runtime import shmem
 from repro.runtime.shmem import (
     MIN_CAPACITY,
     ShmArena,
-    ShmDoubleBuffer,
     ShmProtocolError,
     attach,
     capacity_for,
     frames_capacity,
     read_frames,
-    shared_memory_available,
     write_frames,
-)
-
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable",
 )
 
 
@@ -141,7 +134,6 @@ class TestFrameProtocol:
         assert capacity_for(shapes) >= frames_capacity(frames)
 
 
-@needs_shm
 class TestShmArena:
     def test_round_trip_and_copy_semantics(self):
         frames = make_frames()
@@ -203,88 +195,6 @@ class TestShmArena:
         assert set(glob.glob("/dev/shm/rs*")) == before
 
 
-@needs_shm
-class TestShmDoubleBuffer:
-    """The epoch-parity buffer pair behind the pipelined pool."""
-
-    def test_parity_selects_the_buffer(self):
-        with ShmDoubleBuffer("d0") as dbuf:
-            even = dbuf.arena(0)
-            odd = dbuf.arena(1)
-            assert even is not odd
-            assert dbuf.arena(2) is even
-            assert dbuf.arena(41) is odd
-
-    def test_consecutive_epochs_coexist(self):
-        # Tick N's reply stays pinned while tick N+1 stages: both
-        # messages must be readable at once.
-        with ShmDoubleBuffer("d1") as dbuf:
-            old = [np.arange(5, dtype=np.uint32)]
-            new = [np.arange(9, dtype=np.int64) * 2]
-            dbuf.write(4, old)
-            dbuf.write(5, new)
-            assert_frames_equal(dbuf.read(4), old)
-            assert_frames_equal(dbuf.read(5), new)
-
-    def test_stale_epoch_read_sees_old_epoch_never_a_torn_frame(self):
-        # The acceptance shape for the double buffer: a reader still
-        # expecting tick N's epoch after tick N+1 staged must either
-        # get N's *intact* message (other parity, untouched) or fail
-        # loudly as stale — never a half-overwritten frame.
-        with ShmDoubleBuffer("d2") as dbuf:
-            old = [np.arange(64, dtype=np.uint32)]
-            dbuf.write(6, old)
-            loan = dbuf.read(6, copy=False)  # worker racing a doorbell
-            dbuf.write(7, [np.zeros(64, dtype=np.uint32)])
-            # Staging epoch 7 went to the other parity: the pinned
-            # epoch-6 view is byte-identical to what was staged.
-            assert_frames_equal(loan, old)
-            assert_frames_equal(dbuf.read(6), old)
-            # Two ticks later the same-parity buffer is overwritten;
-            # an epoch-6 reader now fails the epoch check loudly.
-            dbuf.write(8, [np.ones(3, dtype=np.uint32)])
-            del loan
-            with pytest.raises(ShmProtocolError, match="epoch"):
-                dbuf.read(6)
-
-    def test_wrong_parity_read_is_a_loud_stale_epoch_error(self):
-        with ShmDoubleBuffer("d3") as dbuf:
-            dbuf.write(2, [np.arange(4, dtype=np.uint32)])
-            # Epoch 3 routes to the untouched (or stale) odd buffer.
-            with pytest.raises(ShmProtocolError):
-                dbuf.read(3)
-
-    def test_growth_is_per_buffer_and_retirement_covers_standby(self):
-        with ShmDoubleBuffer("d4") as dbuf:
-            small = [np.arange(8, dtype=np.uint32)]
-            dbuf.write(2, small)
-            loan = dbuf.read(2, copy=False)
-            even_name = dbuf.arena(2).name
-            odd_capacity = dbuf.arena(3).capacity
-            # Growing the even buffer under a live loan exercises the
-            # BufferError-safe retirement path on that side only.
-            big = [np.arange(MIN_CAPACITY, dtype=np.int64)]
-            assert dbuf.ensure(2, frames_capacity(big))
-            assert dbuf.arena(2).name != even_name
-            assert dbuf.arena(3).capacity == odd_capacity
-            assert_frames_equal(loan, small)  # old mapping still intact
-            dbuf.write(4, big)
-            assert_frames_equal(dbuf.read(4), big)
-            del loan
-
-    def test_close_is_idempotent_and_leaks_nothing(self):
-        before = set(glob.glob("/dev/shm/rs*"))
-        dbuf = ShmDoubleBuffer("d5")
-        dbuf.write(1, [np.arange(4, dtype=np.uint32)])
-        dbuf.write(2, [np.arange(4, dtype=np.uint32)])
-        dbuf.close()
-        dbuf.close()
-        assert set(glob.glob("/dev/shm/rs*")) == before
-        with pytest.raises(ShmProtocolError, match="closed"):
-            dbuf.arena(0)
-
-
-@needs_shm
 class TestInterpreterTeardown:
     """Regressions for ``close()`` running during interpreter exit.
 

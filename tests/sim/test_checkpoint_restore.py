@@ -14,6 +14,7 @@ bitwise-correct).
 """
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -434,6 +435,36 @@ class TestSupervision:
                 )
         assert result == reference
         assert "serial-rerun" in [event["kind"] for event in log.events]
+
+    def test_unsupervised_hung_worker_is_terminated(self, monkeypatch):
+        # Without supervision a worker that misses the heartbeat fails
+        # the pool, and closing the pool must terminate it rather than
+        # wait out its 30 s hang before the serial re-run starts.
+        reference = simulate(figure_spec(), 42)
+        monkeypatch.setenv(
+            MIDRUN_FAULT_ENV,
+            json.dumps(
+                {
+                    "kind": "hang-worker",
+                    "tick": 6,
+                    "shard": 0,
+                    "seconds": 30.0,
+                }
+            ),
+        )
+        began = time.monotonic()
+        with recovery_collection() as log:
+            with pytest.warns(RuntimeWarning, match="re-running"):
+                result = simulate(
+                    figure_spec(shards=2),
+                    42,
+                    shard_workers=2,
+                    shard_heartbeat=2.0,
+                )
+        elapsed = time.monotonic() - began
+        assert result == reference
+        assert "serial-rerun" in [event["kind"] for event in log.events]
+        assert elapsed < 15.0
 
     def test_recovery_events_include_checkpoints_and_restores(
         self, tmp_path

@@ -296,6 +296,20 @@ class TestShardedEquivalence:
 
         assert simulate(build(17, 8), 17) == simulate(build(17, None), 17)
 
+    def test_million_hosts(self):
+        # The regime sharding exists for: 10^6 hosts with a quarter of
+        # them seeded, so each of the two ticks routes ~2.5M probes
+        # through four in-process shards.
+        reference, reference_result, sharded, sharded_result = run_pair(
+            figure_spec,
+            4,
+            num_hosts=1_000_000,
+            max_time=2.0,
+            seed_count=250_000,
+        )
+        assert sharded_result == reference_result
+        assert_sensor_state_equal(reference, sharded)
+
     def test_kernel_override_runs_reference_engine(self):
         # Under kernel_override(False) a sharded spec takes the serial
         # reference path — the gating idiom every compiled kernel
@@ -361,44 +375,32 @@ class TestShardedValidation:
 
 
 class TestShardPool:
-    @pytest.mark.parametrize("transport", ["ring", "shmem", "pickle"])
-    def test_pool_run_equals_unsharded(self, transport):
+    def test_pool_run_equals_unsharded(self):
         reference = figure_spec(seed=23, num_hosts=1500, max_time=10.0)
         pooled = figure_spec(
             seed=23, num_hosts=1500, max_time=10.0, shards=4
         )
         reference_result = simulate(reference, 23)
-        pooled_result = simulate(
-            pooled, 23, shard_workers=2, shard_transport=transport
-        )
+        pooled_result = simulate(pooled, 23, shard_workers=2)
         assert pooled_result == reference_result
         assert_sensor_state_equal(reference, pooled)
 
-    def test_shmem_transport_shrinks_pipe_traffic(self):
-        stats = {}
-        for transport in ("shmem", "pickle"):
-            simulator = ShardedSimulator(
-                figure_spec(seed=31, num_hosts=1500, max_time=10.0, shards=2),
-                workers=2,
-                transport=transport,
-            )
-            simulator.run(np.random.default_rng(31))
-            stats[transport] = simulator.transport_stats
-        # Both transports move the same array volume...
-        assert (
-            stats["shmem"]["payload_bytes"]
-            == stats["pickle"]["payload_bytes"]
-            > 0
+    def test_tick_path_ships_only_control_tuples(self):
+        simulator = ShardedSimulator(
+            figure_spec(seed=31, num_hosts=1500, max_time=10.0, shards=4),
+            workers=2,
         )
-        # ...but shmem ships only tiny control tuples down the pipe.
-        assert stats["pickle"]["pipe_bytes"] == stats["pickle"]["payload_bytes"]
-        assert stats["shmem"]["pipe_bytes"] < stats["shmem"]["payload_bytes"] / 100
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            ShardedSimulator(
-                figure_spec(shards=2), workers=2, transport="carrier-pigeon"
-            )
+        simulator.run(np.random.default_rng(31))
+        stats = simulator.transport_stats
+        assert stats["transport"] == "shmem"
+        # One submit per shard-tick, plus engine builds and sensor
+        # collection (one each per shard).
+        assert stats["submit_round_trips"] == (stats["ticks"] + 2) * 4
+        # The arrays move through shared memory; the pipe carries only
+        # the ~100 B control tuples.
+        assert stats["payload_bytes"] > 0
+        assert 0 < stats["pipe_bytes"] < stats["payload_bytes"] / 100
+        assert stats["dispatch_overlap_s"] >= 0.0
 
     def test_pool_failure_degrades_to_serial(self, monkeypatch):
         import repro.runtime.shardpool as shardpool
@@ -447,118 +449,28 @@ class TestShmTransportFaults:
             seed=37, num_hosts=1500, max_time=10.0, shards=2
         )
         with pytest.warns(RuntimeWarning, match="re-running"):
-            pooled_result = simulate(
-                pooled, 37, shard_workers=2, shard_transport="shmem"
-            )
+            pooled_result = simulate(pooled, 37, shard_workers=2)
         monkeypatch.delenv(FAULT_ENV)
         assert pooled_result == simulate(reference, 37)
         assert_sensor_state_equal(reference, pooled)
         assert set(glob.glob("/dev/shm/rs*")) == segments_before
 
-
-class TestRingTransport:
-    """The pipelined ring transport: counters, faults, back-pressure.
-
-    Bitwise equivalence for the happy path rides on
-    ``TestShardPool.test_pool_run_equals_unsharded``; this class pins
-    the transport-specific contracts — control traffic amortized off
-    the executor pipe, the two ring-specific injected faults, and a
-    one-slot ring forcing the back-pressure loop.
-    """
-
-    def test_tick_path_stays_off_the_executor_pipe(self):
-        simulator = ShardedSimulator(
-            figure_spec(seed=31, num_hosts=1500, max_time=10.0, shards=4),
-            workers=2,
-            transport="ring",
-        )
-        simulator.run(np.random.default_rng(31))
-        stats = simulator.transport_stats
-        assert stats["transport"] == "ring"
-        # Exactly one ring round trip per shard per tick...
-        assert stats["ring_round_trips"] == stats["ticks"] * 4
-        # ...zero pickled payload bytes on the tick path...
-        assert stats["pipe_bytes"] == 0
-        assert stats["payload_bytes"] > 0
-        # ...and executor submits bounded by setup/teardown, not ticks:
-        # far below one round trip per shard per tick.
-        assert 0 < stats["submit_round_trips"] < stats["ring_round_trips"]
-        assert stats["ring_bytes"] >= 2 * stats["ring_round_trips"]
-        assert stats["dispatch_overlap_s"] >= 0.0
-
-    @pytest.mark.parametrize("kind", ["garble-ring"])
-    def test_garbled_ring_slot_degrades_to_serial_bitwise(
-        self, kind, monkeypatch
-    ):
-        import glob
+    def test_unknown_fault_kind_fails_the_pool(self, monkeypatch):
+        # A fault the pool cannot inject must not pass silently: the
+        # pool fails at its first tick and the run degrades to serial.
         import json
 
         from repro.runtime.shardpool import FAULT_ENV
 
-        segments_before = set(glob.glob("/dev/shm/rs*"))
         monkeypatch.setenv(
             FAULT_ENV,
-            json.dumps({"kind": kind, "shard": 1, "epoch": 3}),
+            json.dumps({"kind": "no-such-fault", "shard": 1, "epoch": 3}),
         )
         reference = figure_spec(seed=37, num_hosts=1500, max_time=10.0)
         pooled = figure_spec(
             seed=37, num_hosts=1500, max_time=10.0, shards=2
         )
-        with pytest.warns(RuntimeWarning, match="re-running"):
-            pooled_result = simulate(
-                pooled, 37, shard_workers=2, shard_transport="ring"
-            )
+        with pytest.warns(RuntimeWarning, match=FAULT_ENV):
+            pooled_result = simulate(pooled, 37, shard_workers=2)
         monkeypatch.delenv(FAULT_ENV)
         assert pooled_result == simulate(reference, 37)
-        assert_sensor_state_equal(reference, pooled)
-        assert set(glob.glob("/dev/shm/rs*")) == segments_before
-
-    def test_stale_doorbell_self_heals_without_degrading(self, monkeypatch):
-        # A withheld doorbell is a *lost wake-up*, not corruption: the
-        # pump's poll timeout must absorb it with no warning, no
-        # fallback, and the identical bitwise result.
-        import glob
-        import json
-        import warnings
-
-        from repro.runtime.shardpool import FAULT_ENV
-
-        segments_before = set(glob.glob("/dev/shm/rs*"))
-        monkeypatch.setenv(
-            FAULT_ENV,
-            json.dumps({"kind": "stale-doorbell", "shard": 1, "epoch": 3}),
-        )
-        reference = figure_spec(seed=37, num_hosts=1500, max_time=10.0)
-        pooled = figure_spec(
-            seed=37, num_hosts=1500, max_time=10.0, shards=2
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            pooled_result = simulate(
-                pooled, 37, shard_workers=2, shard_transport="ring"
-            )
-        monkeypatch.delenv(FAULT_ENV)
-        assert pooled_result == simulate(reference, 37)
-        assert_sensor_state_equal(reference, pooled)
-        assert set(glob.glob("/dev/shm/rs*")) == segments_before
-
-    def test_tiny_ring_backpressure_keeps_equivalence(self, monkeypatch):
-        # Shrink every ring to the protocol minimum (two slots) while
-        # each worker hosts four shards: the driver's per-tick pushes
-        # outrun the ring and must wait out the back-pressure loop
-        # (re-ringing the doorbell) without losing or reordering work.
-        from repro.runtime.ring import MIN_CAPACITY
-
-        import repro.runtime.shardpool as shardpool
-
-        monkeypatch.setattr(shardpool, "_RING_SLOTS", MIN_CAPACITY)
-        reference = figure_spec(seed=23, num_hosts=1500, max_time=10.0)
-        pooled = figure_spec(
-            seed=23, num_hosts=1500, max_time=10.0, shards=8
-        )
-        reference_result = simulate(reference, 23)
-        pooled_result = simulate(
-            pooled, 23, shard_workers=2, shard_transport="ring"
-        )
-        assert pooled_result == reference_result
-        assert_sensor_state_equal(reference, pooled)
